@@ -54,6 +54,7 @@ CouplingRuntime::CouplingRuntime(runtime::ProcessContext& ctx, const Config& con
     route_.parent = pl.subrep(parent);
     route_.has_parent = true;
   }
+  acks_shutdown_ = options_.acked_shutdown(pl.tree.empty());
   if (options_.memory.governed()) {
     governor_ = std::make_unique<mem::MemoryGovernor>(options_.memory.budget_bytes,
                                                       options_.memory.low_watermark,
@@ -362,6 +363,9 @@ void CouplingRuntime::handle_control(const Message& m) {
     case kTagRepHeartbeat:
       ++ft_.heartbeats;
       break;
+    case kTagShutdownRelease:
+      shutdown_released_.insert(static_cast<int>(m.src - route_.base));
+      break;
     case kTagPressureBcast: {
       // The exporter side of one of our import connections crossed a
       // buffer watermark: remember the level so import_request throttles
@@ -436,13 +440,14 @@ void CouplingRuntime::maybe_reparent() {
 }
 
 void CouplingRuntime::note_shutdown(const transport::Payload& payload) {
-  if (route_.shards <= 1) {
-    shutdown_seen_ = true;
-    return;
+  int shard = 0;
+  if (route_.shards > 1) {
+    Reader r(payload);
+    shard = static_cast<int>(r.get<std::uint32_t>());
   }
-  Reader r(payload);
-  shutdown_shards_.insert(static_cast<int>(r.get<std::uint32_t>()));
+  shutdown_shards_.insert(shard);
   if (static_cast<int>(shutdown_shards_.size()) >= route_.shards) shutdown_seen_ = true;
+  if (acks_shutdown_) ctx_.send(route_.base + shard, kTagShutdownAck, transport::empty_payload());
 }
 
 void CouplingRuntime::send_meta_ack(int shard) {
@@ -700,6 +705,23 @@ void CouplingRuntime::finalize() {
         continue;
       }
       handle_control(*m);
+    }
+  }
+  if (acks_shutdown_ && shutdown_seen_) {
+    // Like TCP's TIME_WAIT: our ack may be lost, and the rep re-sends
+    // ShutdownProc on its heartbeat tick until acked — so stay to re-ack
+    // until every shard releases us. A lost release costs two ticks.
+    const double linger = 2 * options_.heartbeat_interval_seconds;
+    double deadline = ctx_.now() + linger;
+    while (static_cast<int>(shutdown_released_.size()) < route_.shards) {
+      auto m = ctx_.recv_until(route_.control_match(), deadline);
+      if (!m) break;
+      if (m->tag == kTagShutdownProc) {
+        note_shutdown(m->payload);
+        deadline = ctx_.now() + linger;
+      } else if (m->tag == kTagShutdownRelease) {
+        shutdown_released_.insert(static_cast<int>(m->src - route_.base));
+      }  // anything else is stale traffic from before the shutdown
     }
   }
   finished_at_ = ctx_.now();

@@ -147,7 +147,7 @@ class CouplingRuntime {
 
   /// Records one ShutdownProc from a rep shard; with a sharded rep the
   /// payload names the shard and shutdown_seen_ flips only once every
-  /// shard has reported.
+  /// shard has reported. Acknowledges it when acks_shutdown_.
   void note_shutdown(const transport::Payload& payload);
 
   /// Acknowledges (or re-acknowledges) shard `shard`'s geometry broadcast.
@@ -171,7 +171,11 @@ class CouplingRuntime {
   bool committed_ = false;
   bool finalized_ = false;
   bool shutdown_seen_ = false;
-  std::set<int> shutdown_shards_;  ///< shards whose ShutdownProc arrived (S > 1)
+  std::set<int> shutdown_shards_;  ///< shards whose ShutdownProc arrived
+  /// FrameworkOptions::acked_shutdown: ShutdownProc is acked, and finalize()
+  /// lingers until every shard released us (or two heartbeat ticks pass).
+  bool acks_shutdown_ = false;
+  std::set<int> shutdown_released_;  ///< shards whose ShutdownRelease arrived
   std::map<std::string, ExportRegion> export_regions_;
   std::map<std::string, ImportRegion> import_regions_;
   /// Answers parked per connection, keyed by request seq (the fabric may

@@ -132,6 +132,12 @@ struct FrameworkOptions {
   /// True when the retry/liveness machinery is active.
   bool failure_tolerance() const { return retry_timeout_seconds > 0; }
 
+  /// True when procs acknowledge ShutdownProc and the rep re-sends it on
+  /// heartbeat ticks until acked. Tree layouts keep the departure fallback.
+  bool acked_shutdown(bool flat_layout) const {
+    return failure_tolerance() && heartbeat_interval_seconds > 0 && flat_layout;
+  }
+
   /// Effective backoff cap (resolves the 0 = "16x base" default).
   double backoff_cap_seconds() const {
     return retry_backoff_max_seconds > 0 ? retry_backoff_max_seconds

@@ -58,6 +58,9 @@ inline constexpr Tag kTagPressureBcast = 0x100014;   ///< importer rep -> own pr
 // to the control plane fault them too.
 inline constexpr Tag kTagTreeUp = 0x100015;          ///< sub-rep -> parent/rep: batched frame
 inline constexpr Tag kTagTreeDown = 0x100016;        ///< rep -> sub-rep: batched frame
+// Acknowledged shutdown (failure-tolerant flat layouts, docs/PROTOCOL.md).
+inline constexpr Tag kTagShutdownAck = 0x100017;     ///< proc -> own rep: shutdown received
+inline constexpr Tag kTagShutdownRelease = 0x100018; ///< rep -> own proc: ack received
 
 inline constexpr Tag kTagDataBase = 0x200000;
 

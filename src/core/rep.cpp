@@ -682,6 +682,35 @@ RepResult run_rep(runtime::ProcessContext& ctx, const Config& config,
   }
   down.bcast(kTagShutdownProc, shutdown_payload);
   down.flush();
+  if (options.acked_shutdown(!down.enabled)) {
+    // A lost ShutdownProc would strand its proc for a whole departure
+    // window (and a clockless delay fault holds it until the next send to
+    // that proc): re-send it to un-acked procs on each heartbeat tick, as
+    // for the meta broadcast, presuming delivery after max_retries. Every
+    // ack is answered with a release, which lets the proc stop lingering.
+    std::set<ProcId> shutdown_acked;
+    std::map<ProcId, int> shutdown_resends;
+    double tick = ctx.now() + options.heartbeat_interval_seconds;
+    while (static_cast<int>(shutdown_acked.size()) < pl.nprocs) {
+      auto m = ctx.recv_until(MatchSpec{kAnyProc, kAnyTag}, tick);
+      if (!m) {
+        for (ProcId proc : pl.proc_ids()) {
+          if (shutdown_acked.count(proc)) continue;
+          if (++shutdown_resends[proc] > options.max_retries) {
+            shutdown_acked.insert(proc);
+            continue;
+          }
+          ctx.send(proc, kTagShutdownProc, shutdown_payload);
+        }
+        tick = ctx.now() + options.heartbeat_interval_seconds;
+        continue;
+      }
+      // Anything else is stale traffic from before the shutdown.
+      if (m->tag != kTagShutdownAck || !is_own_proc(m->src)) continue;
+      shutdown_acked.insert(m->src);
+      ctx.send(m->src, kTagShutdownRelease, transport::empty_payload());
+    }
+  }
   for (const auto& [conn, agg] : aggregators) {
     const auto& log = agg.answer_log();
     result.answers.insert(result.answers.end(), log.begin(), log.end());

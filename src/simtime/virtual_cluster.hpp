@@ -1,30 +1,33 @@
 // Deterministic virtual-time execution of a simulated cluster.
 //
-// Every simulated process runs on its own OS thread, but the scheduler
-// enforces *sequential, time-ordered* execution: exactly one process thread
-// is runnable at any instant, always the one with the smallest virtual
-// timestamp (ties broken by insertion order). Virtual time only advances
-// when a process calls advance(); messages are delivered after a delay
-// charged by the cluster's LatencyModel. The result is a conservative
-// discrete-event simulation whose event order — and therefore every
-// experiment built on it — is bit-for-bit reproducible, independent of the
-// host's core count or load.
+// Every simulated process body runs as a user-space fiber on the thread
+// that calls run(), and the scheduler runs them *sequentially, in time
+// order*: it switches into the process with the smallest virtual timestamp
+// (ties broken by insertion order), which switches back when it yields in
+// advance() or blocks in recv(). Virtual time only advances when a process
+// calls advance(); messages are delivered after a delay charged by the
+// cluster's LatencyModel. The result is a conservative discrete-event
+// simulation whose event order — and therefore every experiment built on
+// it — is bit-for-bit reproducible, independent of the host's core count or
+// load.
+//
+// A fiber has an 8 MiB stack (the glibc thread default) above a guard page.
+// All bodies of one cluster share one OS thread, and so its thread_local
+// state. Bodies must not yield from inside a catch handler: the C++ runtime
+// keeps its caught-exception stack per thread, not per fiber.
 //
 // This is the substitution for the paper's physical cluster (see DESIGN.md):
 // buddy-help's benefit depends only on relative process progress rates,
 // buffering costs, and message latencies, all of which are modeled here.
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -42,44 +45,7 @@ using transport::Payload;
 using transport::ProcId;
 using transport::Tag;
 
-class VirtualCluster;
-
-/// Handle a simulated process body uses to interact with virtual time and
-/// the network. Only valid on the thread running that process body.
-class SimContext {
- public:
-  ProcId id() const { return id_; }
-  SimTime now() const;
-
-  /// Consumes `dt` virtual seconds of computation and yields to any process
-  /// whose next event is earlier.
-  void advance(SimTime dt);
-
-  /// Non-blocking send. The message is delivered to `dst` after the
-  /// cluster latency model's delay (payload-size dependent).
-  void send(ProcId dst, Tag tag, Payload payload);
-
-  /// Blocks (in virtual time) until a matching message has been delivered;
-  /// the process resumes no earlier than the message's delivery time.
-  Message recv(const MatchSpec& spec);
-
-  /// Takes a matching message already delivered by now(), else nullopt.
-  std::optional<Message> try_recv(const MatchSpec& spec);
-
-  /// True if a matching message has been delivered by now().
-  bool probe(const MatchSpec& spec);
-
-  /// Blocks until either a matching message is available (returned) or the
-  /// virtual deadline passes (nullopt). Used for rep polling loops.
-  std::optional<Message> recv_until(const MatchSpec& spec, SimTime deadline);
-
- private:
-  friend class VirtualCluster;
-  SimContext(VirtualCluster* cluster, ProcId id) : cluster_(cluster), id_(id) {}
-
-  VirtualCluster* cluster_;
-  ProcId id_;
-};
+class SimContext;
 
 /// Thrown by run() when all remaining processes are blocked in recv() and
 /// no deliveries are in flight.
@@ -151,10 +117,11 @@ class VirtualCluster {
 
   enum class ProcState { NotStarted, Running, Yielded, WaitingRecv, Finished };
 
+  struct Fiber;  ///< saved context and stack of a fiber (or of the scheduler)
+
   struct Proc {
     ProcId id;
     std::function<void(SimContext&)> body;
-    std::thread thread;
     SimTime now = 0.0;
     ProcState state = ProcState::NotStarted;
     MatchSpec wait_spec;  ///< valid while WaitingRecv
@@ -163,15 +130,14 @@ class VirtualCluster {
     bool woke_by_deadline = false;
     std::uint64_t deadline_gen = 0;  ///< invalidates stale Deadline events
     std::deque<Message> inbox;  ///< messages already delivered (<= proc time)
-    std::condition_variable cv;
-    bool can_run = false;  ///< handed control by the scheduler
+    std::unique_ptr<Fiber> fiber;  ///< from first resume until finished
   };
 
   struct Event {
     SimTime time;
     std::uint64_t seq;  ///< tie-breaker: insertion order
     enum class Kind { Resume, Delivery, Deadline } kind;
-    ProcId proc;      ///< Resume/Deadline target
+    Proc* proc;       ///< Resume/Deadline target, Delivery destination
     Message message;  ///< Delivery payload
     std::uint64_t gen = 0;  ///< Deadline generation (see Proc::deadline_gen)
 
@@ -183,32 +149,22 @@ class VirtualCluster {
     };
   };
 
-  // --- called from process threads (hold mutex_) ---
-  void yield_locked(std::unique_lock<std::mutex>& lock, Proc& proc);
-  void push_event_locked(Event e);
-  Proc& proc_of(ProcId id);
-  std::optional<Message> take_from_inbox_locked(Proc& proc, const MatchSpec& spec);
-
-  // SimContext backends
-  SimTime ctx_now(ProcId id);
-  void ctx_advance(ProcId id, SimTime dt);
-  void ctx_send(ProcId src, ProcId dst, Tag tag, Payload payload);
-  Message ctx_recv(ProcId id, const MatchSpec& spec);
-  std::optional<Message> ctx_try_recv(ProcId id, const MatchSpec& spec);
-  bool ctx_probe(ProcId id, const MatchSpec& spec);
-  std::optional<Message> ctx_recv_until(ProcId id, const MatchSpec& spec, SimTime deadline);
-
-  // --- scheduler side ---
-  void scheduler_loop();
-  void resume_and_wait(Proc& proc, SimTime at_time);
-  std::string deadlock_report_locked() const;
+  void push_event(Event e);
+  /// Process side: hands control back to the scheduler until resumed.
+  void yield(Proc& proc);
+  /// Scheduler side: runs `proc` until it yields or finishes.
+  void switch_to(Proc& proc);
+  static void fiber_entry(unsigned self_hi, unsigned self_lo);
+  /// Resumes every suspended process so its pending yield unwinds it.
+  void unwind_all();
+  std::string deadlock_report() const;
 
   Options options_;
-  std::mutex mutex_;
-  std::condition_variable scheduler_cv_;
   std::unordered_map<ProcId, std::unique_ptr<Proc>> procs_;
-  std::vector<ProcId> proc_order_;
+  std::vector<Proc*> proc_order_;
   std::priority_queue<Event, std::vector<Event>, Event::Later> events_;
+  std::unique_ptr<Fiber> scheduler_;
+  Proc* running_ = nullptr;  ///< set by switch_to for fiber_entry
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t messages_delivered_ = 0;
@@ -218,6 +174,44 @@ class VirtualCluster {
   bool aborting_ = false;
   std::exception_ptr first_error_;
   std::size_t finished_count_ = 0;
+};
+
+/// Handle a simulated process body uses to interact with virtual time and
+/// the network. Only valid inside that process body.
+class SimContext {
+ public:
+  ProcId id() const { return proc_.id; }
+  SimTime now() const { return proc_.now; }
+
+  /// Consumes `dt` virtual seconds of computation and yields to any process
+  /// whose next event is earlier.
+  void advance(SimTime dt);
+
+  /// Non-blocking send. The message is delivered to `dst` after the
+  /// cluster latency model's delay (payload-size dependent).
+  void send(ProcId dst, Tag tag, Payload payload);
+
+  /// Blocks (in virtual time) until a matching message has been delivered;
+  /// the process resumes no earlier than the message's delivery time.
+  Message recv(const MatchSpec& spec);
+
+  /// Takes a matching message already delivered by now(), else nullopt.
+  std::optional<Message> try_recv(const MatchSpec& spec);
+
+  /// True if a matching message has been delivered by now().
+  bool probe(const MatchSpec& spec);
+
+  /// Blocks until either a matching message is available (returned) or the
+  /// virtual deadline passes (nullopt). Used for rep polling loops.
+  std::optional<Message> recv_until(const MatchSpec& spec, SimTime deadline);
+
+ private:
+  friend class VirtualCluster;
+  SimContext(VirtualCluster& cluster, VirtualCluster::Proc& proc)
+      : cluster_(cluster), proc_(proc) {}
+
+  VirtualCluster& cluster_;
+  VirtualCluster::Proc& proc_;
 };
 
 }  // namespace ccf::simtime

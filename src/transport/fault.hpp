@@ -1,12 +1,13 @@
 // Deterministic, seeded fault injection for the message fabric.
 //
-// A FaultInjector sits between send() and delivery (both in the real-time
-// Network and in the virtual-time scheduler) and decides, per message,
-// whether to drop it, duplicate it, or delay it. Decisions are a pure
-// function of (seed, src, dst, per-link message index), so a schedule is
-// replayable: the same seed over the same per-link traffic produces the
-// same faults regardless of thread interleaving. The chaos harness relies
-// on this to rerun a failing schedule byte-for-byte.
+// A FaultInjector sits between send() and delivery (in the FaultTransport
+// decorator over any real-time backend, and in the virtual-time scheduler)
+// and decides, per message, whether to drop it, duplicate it, or delay it.
+// Decisions are a pure function of (seed, src, dst, per-link message
+// index), so a schedule is replayable: the same seed over the same
+// per-link traffic produces the same faults regardless of thread
+// interleaving. The chaos harness relies on this to rerun a failing
+// schedule byte-for-byte.
 //
 // Eligibility is scoped by an optional predicate over (src, dst, tag) so a
 // test can target control traffic while leaving bulk data alone, and a

@@ -1,9 +1,8 @@
 // FaultTransport: seeded fault injection as a decorator over ANY backend.
 //
-// Historically fault injection lived inside the in-memory Network; that
-// made it a special case of one backend and left the real SHM+TCP path
-// untestable under chaos. FaultTransport lifts the exact same semantics
-// to the Transport seam:
+// This is the one real-time fault path: the in-memory fabric and the real
+// SHM+TCP backend are both lossless, and chaos runs wrap either of them in
+// this decorator. Its semantics:
 //
 //   * drop       — the message never reaches the inner transport
 //   * duplicate  — delivered twice (both aliasing one payload buffer)

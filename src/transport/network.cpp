@@ -28,25 +28,8 @@ bool Network::has_process(ProcId id) const {
   return mailboxes_.count(id) > 0;
 }
 
-void Network::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  faults_ = std::move(injector);
-}
-
-void Network::deliver_counted(const std::shared_ptr<Mailbox>& box, Message m) {
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(m.size_bytes(), std::memory_order_relaxed);
-  if (!box->deliver(std::move(m))) {
-    closed_box_drops_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void Network::send(Message m) {
   std::shared_ptr<Mailbox> box;
-  std::shared_ptr<FaultInjector> faults;
-  // A previously held-back message for this destination, released now.
-  std::optional<Message> release;
-  FaultDecision decision;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = mailboxes_.find(m.dst);
@@ -54,49 +37,21 @@ void Network::send(Message m) {
     box = it->second;
     auto seq_it = next_seq_.find(m.src);
     if (seq_it != next_seq_.end()) m.seq = seq_it->second++;
-    faults = faults_;
-    if (faults) {
-      decision = faults->decide(m.src, m.dst, m.tag);
-      auto held_it = held_.find(m.dst);
-      if (held_it != held_.end()) {
-        release = std::move(held_it->second);
-        held_.erase(held_it);
-      }
-      if (decision.extra_delay_seconds > 0 && !decision.drop && !release) {
-        // Hold this message back; the next send to the same destination
-        // (or shutdown) releases it — a delay realised as a reordering.
-        faults_reordered_.fetch_add(1, std::memory_order_relaxed);
-        held_.emplace(m.dst, std::move(m));
-        return;
-      }
-    }
   }
-  if (decision.drop) {
-    faults_dropped_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    if (decision.duplicate) {
-      faults_duplicated_.fetch_add(1, std::memory_order_relaxed);
-      deliver_counted(box, m);
-    }
-    deliver_counted(box, std::move(m));
+  messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  bytes_sent_.fetch_add(m.size_bytes(), std::memory_order_relaxed);
+  if (!box->deliver(std::move(m))) {
+    closed_box_drops_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (release) deliver_counted(box, std::move(*release));
 }
 
 void Network::shutdown() {
   std::vector<std::shared_ptr<Mailbox>> boxes;
-  std::vector<std::pair<std::shared_ptr<Mailbox>, Message>> flush;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     boxes.reserve(mailboxes_.size());
     for (auto& [id, box] : mailboxes_) boxes.push_back(box);
-    for (auto& [dst, m] : held_) {
-      auto it = mailboxes_.find(dst);
-      if (it != mailboxes_.end()) flush.emplace_back(it->second, std::move(m));
-    }
-    held_.clear();
   }
-  for (auto& [box, m] : flush) deliver_counted(box, std::move(m));
   for (auto& box : boxes) box->close();
 }
 
@@ -114,9 +69,6 @@ NetworkStats Network::stats() const {
   s.messages_sent = messages_sent_.load(std::memory_order_relaxed);
   s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   s.closed_box_drops = closed_box_drops_.load(std::memory_order_relaxed);
-  s.faults_dropped = faults_dropped_.load(std::memory_order_relaxed);
-  s.faults_duplicated = faults_duplicated_.load(std::memory_order_relaxed);
-  s.faults_reordered = faults_reordered_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -5,13 +5,8 @@
 // (sender, receiver) pair — the real-time runtime uses it directly; the
 // virtual-time runtime schedules its own deliveries and uses the fabric
 // only for addressing. Statistics (messages/bytes per endpoint) back the
-// transport microbenches.
-//
-// An optional FaultInjector perturbs delivery: dropped messages vanish,
-// duplicated ones are delivered twice, and "delayed" ones are held back
-// until the next message to the same destination (the fabric has no
-// clock, so a delay manifests as a reordering). Duplicating or holding a
-// Message copies only its refcounted payload view, never the bytes.
+// transport microbenches. The fabric is lossless; seeded faults are
+// injected above it by the FaultTransport decorator (fault_transport.hpp).
 #pragma once
 
 #include <atomic>
@@ -21,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "transport/fault.hpp"
 #include "transport/mailbox.hpp"
 #include "transport/message.hpp"
 
@@ -32,10 +26,6 @@ struct NetworkStats {
   std::uint64_t bytes_sent = 0;
   /// Messages that reached a closed mailbox (receiver already torn down).
   std::uint64_t closed_box_drops = 0;
-  /// Injected faults, when a FaultInjector is attached.
-  std::uint64_t faults_dropped = 0;
-  std::uint64_t faults_duplicated = 0;
-  std::uint64_t faults_reordered = 0;
 };
 
 class Network {
@@ -51,32 +41,19 @@ class Network {
   /// Stamps the per-sender sequence number and delivers into dst's mailbox.
   void send(Message m);
 
-  /// Attaches a fault injector consulted on every subsequent send().
-  void set_fault_injector(std::shared_ptr<FaultInjector> injector);
-
-  /// Closes every mailbox (wakes all blocked receivers). Held-back
-  /// (reordered) messages are flushed first so nothing is lost silently.
+  /// Closes every mailbox (wakes all blocked receivers).
   void shutdown();
 
   std::vector<ProcId> process_ids() const;
   NetworkStats stats() const;
 
  private:
-  void deliver_counted(const std::shared_ptr<Mailbox>& box, Message m);
-
   mutable std::mutex mutex_;
   std::unordered_map<ProcId, std::shared_ptr<Mailbox>> mailboxes_;
   std::unordered_map<ProcId, std::uint64_t> next_seq_;
-  std::shared_ptr<FaultInjector> faults_;
-  /// One held-back message per destination: released after the next send
-  /// to that destination (or at shutdown).
-  std::unordered_map<ProcId, Message> held_;
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> closed_box_drops_{0};
-  std::atomic<std::uint64_t> faults_dropped_{0};
-  std::atomic<std::uint64_t> faults_duplicated_{0};
-  std::atomic<std::uint64_t> faults_reordered_{0};
 };
 
 }  // namespace ccf::transport

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 
 namespace ccf::util {
 
@@ -21,26 +20,12 @@ double spin_work(std::uint64_t iters) {
   return x;
 }
 
-double spin_iters_per_us() {
-  static std::once_flag once;
-  static double rate = 0.0;
-  std::call_once(once, [] {
-    using clock = std::chrono::steady_clock;
-    // Warm up, then time a fixed batch.
-    spin_work(100000);
-    const std::uint64_t batch = 2000000;
-    const auto t0 = clock::now();
-    spin_work(batch);
-    const auto t1 = clock::now();
-    const double us = std::chrono::duration<double, std::micro>(t1 - t0).count();
-    rate = us > 0 ? static_cast<double>(batch) / us : 1e3;
-  });
-  return rate;
-}
-
 void spin_for_us(double us) {
   if (us <= 0) return;
-  spin_work(static_cast<std::uint64_t>(us * spin_iters_per_us()));
+  using clock = std::chrono::steady_clock;
+  const auto span = std::chrono::duration<double, std::micro>(us);
+  const auto deadline = clock::now() + std::chrono::ceil<clock::duration>(span);
+  while (clock::now() < deadline) spin_work(64);
 }
 
 }  // namespace ccf::util

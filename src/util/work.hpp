@@ -1,9 +1,10 @@
-// Calibrated synthetic CPU work.
+// Synthetic CPU work.
 //
 // Real-time mode needs "computation" whose duration is controllable in
 // microseconds without depending on sleep granularity: spin_work() runs a
-// side-effect-resistant FLOP loop; calibrate() measures the machine's loop
-// rate once so callers can convert microseconds to iterations.
+// side-effect-resistant FLOP loop, and spin_for_us() repeats short batches
+// of it until steady_clock reaches the deadline, so its duration does not
+// depend on how fast the loop ran when the process started.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +15,7 @@ namespace ccf::util {
 /// value that must be consumed (prevents the optimizer deleting the loop).
 double spin_work(std::uint64_t iters);
 
-/// Estimated spin_work iterations per microsecond on this machine.
-/// First call calibrates (a few ms); subsequent calls are free.
-double spin_iters_per_us();
-
-/// Busy-spins for approximately `us` microseconds.
+/// Busy-spins until at least `us` microseconds of steady_clock time pass.
 void spin_for_us(double us);
 
 }  // namespace ccf::util

@@ -254,6 +254,38 @@ TEST(Chaos, DroppedShutdownIsSurvivedViaDepartureDetection) {
   EXPECT_TRUE(any_departed);
 }
 
+TEST(Chaos, LostShutdownIsResentInsteadOfWaitingOutTheDepartureWindow) {
+  // Only the first ShutdownProc is dropped. In a flat tolerant layout the
+  // rep re-sends it on its next heartbeat tick to the proc that did not
+  // ack, so that proc finishes within a tick or two instead of presuming
+  // its rep departed after the 10 s departure window.
+  const Workload wl = default_workload();
+  const RunResult reference = run_system(wl, tolerant_options(), nullptr);
+
+  FaultPlan plan;
+  plan.seed = 1;
+  plan.drop_prob = 1.0;
+  plan.max_faults = 1;
+  plan.eligible = [](transport::ProcId, transport::ProcId, transport::Tag tag) {
+    return tag == kTagShutdownProc;
+  };
+  const RunResult run =
+      run_system(wl, tolerant_options(), std::make_shared<FaultInjector>(plan));
+
+  expect_same_answers(run, reference.per_rank[0], "lost-shutdown");
+  EXPECT_EQ(run.faults_injected, 1u);
+  const FrameworkOptions fw = tolerant_options();
+  auto check = [&](const std::vector<ProcStats>& stats, const char* program) {
+    for (std::size_t r = 0; r < stats.size(); ++r) {
+      EXPECT_FALSE(stats[r].ft.rep_departed) << program << " rank " << r;
+      EXPECT_LT(stats[r].finished_at, 3 * fw.heartbeat_interval_seconds)
+          << program << " rank " << r;
+    }
+  };
+  check(run.exporter_stats, "E");
+  check(run.importer_stats, "I");
+}
+
 TEST(Chaos, StalledExporterDegradesWhenImporterDepartureNoticeIsLost) {
   // The importer issues one early request and leaves; every ConnFinished
   // notification (initial + first retries) is eaten, so the exporter

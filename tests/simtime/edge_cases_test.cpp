@@ -1,7 +1,11 @@
 // Virtual-cluster edge cases: stale deadline events, event-cap guard,
 // latency-induced message overtaking (a documented non-FIFO case),
-// simultaneous-event tie-breaking, nested waits.
+// simultaneous-event tie-breaking, nested waits, and the fiber executor's
+// teardown, stack depth and independence across threads.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <thread>
 
 #include "simtime/virtual_cluster.hpp"
 #include "transport/serialize.hpp"
@@ -134,6 +138,113 @@ TEST(VirtualClusterEdge, ManySmallAdvancesAccumulateExactly) {
   });
   cluster.run();
   EXPECT_DOUBLE_EQ(cluster.end_time(), 500.0);
+}
+
+/// Counts destructions, so a test can tell which suspended bodies unwound.
+struct DestructionCounter {
+  int& destroyed;
+  ~DestructionCounter() { ++destroyed; }
+};
+
+TEST(VirtualClusterEdge, SuspendedBodiesUnwindWhenASiblingThrows) {
+  VirtualCluster cluster;
+  int started = 0;
+  int destroyed = 0;
+  cluster.add_process(0, [&](SimContext& ctx) {
+    ++started;
+    DestructionCounter guard{destroyed};
+    (void)ctx.recv(MatchSpec{kAnyProc, 9});  // never arrives
+  });
+  cluster.add_process(1, [&](SimContext& ctx) {
+    ++started;
+    DestructionCounter guard{destroyed};
+    ctx.advance(100.0);  // still suspended when proc 2 throws
+  });
+  cluster.add_process(2, [&](SimContext&) {
+    ++started;
+    DestructionCounter guard{destroyed};
+    throw std::runtime_error("boom");
+  });
+  cluster.add_process(3, [&](SimContext&) { ++started; });  // never starts
+  EXPECT_THROW(cluster.run(), std::runtime_error);
+  EXPECT_EQ(started, 3);
+  EXPECT_EQ(destroyed, started);
+}
+
+TEST(VirtualClusterEdge, SuspendedBodiesUnwindOnDeadlock) {
+  VirtualCluster cluster;
+  int started = 0;
+  int destroyed = 0;
+  for (ProcId p = 0; p < 2; ++p) {
+    cluster.add_process(p, [&, p](SimContext& ctx) {
+      ++started;
+      DestructionCounter guard{destroyed};
+      (void)ctx.recv(MatchSpec{1 - p, 1});  // each waits on the other
+    });
+  }
+  cluster.add_process(2, [&](SimContext& ctx) {
+    ++started;
+    DestructionCounter guard{destroyed};
+    ctx.advance(1.0);
+  });
+  EXPECT_THROW(cluster.run(), DeadlockError);
+  EXPECT_EQ(started, 3);
+  EXPECT_EQ(destroyed, started);
+}
+
+/// Uses about 1 KiB of stack per level and yields at the bottom, so the
+/// whole chain of frames must survive a switch away and back.
+int deep_recursion(SimContext& ctx, int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth & 0x7F);
+  if (depth == 0) {
+    ctx.advance(1.0);
+    return frame[0];
+  }
+  return deep_recursion(ctx, depth - 1) + frame[0];
+}
+
+TEST(VirtualClusterEdge, BodyCanUseAMebibyteOfStack) {
+  VirtualCluster cluster;
+  int sum = -1;
+  cluster.add_process(0, [&](SimContext& ctx) { sum = deep_recursion(ctx, 1024); });
+  cluster.add_process(1, [&](SimContext& ctx) { ctx.advance(0.5); });
+  cluster.run();
+  int expected = 0;
+  for (int d = 0; d <= 1024; ++d) expected += d & 0x7F;
+  EXPECT_EQ(sum, expected);
+  EXPECT_DOUBLE_EQ(cluster.end_time(), 1.0);
+}
+
+std::vector<VirtualCluster::JournalEntry> ring_journal(int procs, double latency) {
+  VirtualCluster::Options opts;
+  opts.journal = true;
+  opts.latency = std::make_shared<const transport::FixedLatency>(latency);
+  VirtualCluster cluster(opts);
+  for (int p = 0; p < procs; ++p) {
+    cluster.add_process(p, [p, procs](SimContext& ctx) {
+      for (int i = 0; i < 200; ++i) {
+        ctx.advance(0.001 * (p + 1));
+        ctx.send((p + 1) % procs, 5, payload_of(i));
+        (void)ctx.recv(MatchSpec{(p + procs - 1) % procs, 5});
+      }
+    });
+  }
+  cluster.run();
+  return cluster.journal();
+}
+
+TEST(VirtualClusterEdge, ClustersOnTwoThreadsRunIndependently) {
+  const auto want_a = ring_journal(3, 0.01);
+  const auto want_b = ring_journal(5, 0.002);
+  ASSERT_NE(want_a, want_b);
+  std::vector<VirtualCluster::JournalEntry> got_a, got_b;
+  std::thread a([&] { got_a = ring_journal(3, 0.01); });
+  std::thread b([&] { got_b = ring_journal(5, 0.002); });
+  a.join();
+  b.join();
+  EXPECT_EQ(got_a, want_a);
+  EXPECT_EQ(got_b, want_b);
 }
 
 }  // namespace

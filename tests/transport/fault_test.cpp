@@ -1,6 +1,7 @@
 // Fault-injection tests: deterministic replay, eligibility scoping, fault
-// caps, network-level drop/duplicate/reorder semantics, and the mailbox
-// drop accounting the liveness machinery depends on.
+// caps, and the mailbox drop accounting the liveness machinery depends on.
+// The drop/duplicate/reorder delivery semantics are tested on the
+// FaultTransport decorator (fault_transport_test.cpp).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -144,68 +145,6 @@ TEST(FaultInjector, RejectsInvalidPlans) {
   bounds.delay_min_seconds = 2;
   bounds.delay_max_seconds = 1;
   EXPECT_THROW(FaultInjector{bounds}, util::InvalidArgument);
-}
-
-TEST(NetworkFaults, DropsVanishAndAreCounted) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.drop_prob = 1.0;
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  for (int i = 0; i < 5; ++i) net.send(make_msg(1, 2, 0));
-  EXPECT_EQ(box->pending(), 0u);
-  EXPECT_EQ(net.stats().faults_dropped, 5u);
-  // messages_sent counts deliveries; dropped messages never deliver.
-  EXPECT_EQ(net.stats().messages_sent, 0u);
-}
-
-TEST(NetworkFaults, DuplicatesDeliverTwice) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.duplicate_prob = 1.0;
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  net.send(make_msg(1, 2, 9));
-  EXPECT_EQ(box->pending(), 2u);
-  EXPECT_EQ(net.stats().faults_duplicated, 1u);
-}
-
-TEST(NetworkFaults, DelayHoldsBackUntilNextSendToSameDst) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.delay_prob = 1.0;
-  plan.delay_min_seconds = 0.001;
-  plan.delay_max_seconds = 0.001;
-  plan.max_faults = 1;  // only the first message is held back
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  net.send(make_msg(1, 2, 100));
-  EXPECT_EQ(box->pending(), 0u);  // held
-  net.send(make_msg(1, 2, 200));
-  EXPECT_EQ(box->pending(), 2u);
-  // The second message now precedes the held-back first: a reordering.
-  EXPECT_EQ(box->receive(MatchSpec{}).tag, 200);
-  EXPECT_EQ(box->receive(MatchSpec{}).tag, 100);
-  EXPECT_EQ(net.stats().faults_reordered, 1u);
-}
-
-TEST(NetworkFaults, ShutdownFlushesHeldMessages) {
-  Network net;
-  net.register_process(1);
-  auto box = net.register_process(2);
-  FaultPlan plan;
-  plan.delay_prob = 1.0;
-  plan.delay_min_seconds = 0.001;
-  plan.delay_max_seconds = 0.001;
-  net.set_fault_injector(std::make_shared<FaultInjector>(plan));
-  net.send(make_msg(1, 2, 7));
-  EXPECT_EQ(box->pending(), 0u);
-  net.shutdown();
-  // Flushed before the close, so the message is queued, not lost.
-  EXPECT_EQ(box->pending(), 1u);
 }
 
 TEST(NetworkFaults, ClosedMailboxDropsAreCounted) {

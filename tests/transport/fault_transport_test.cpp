@@ -122,6 +122,43 @@ TEST(FaultTransport, InjectsTheSameFaultsOverFabricAndRealShm) {
   EXPECT_EQ(fabric_tags, real_tags);
 }
 
+TEST(FaultTransport, DropsVanishAndAreCounted) {
+  FaultPlan plan;
+  plan.drop_prob = 1.0;
+  auto injector = std::make_shared<FaultInjector>(plan);
+  FaultTransport faulted(make_transport({}, {0, 1}), injector);
+  auto receiver = faulted.attach(1);
+  {
+    auto ep = faulted.attach(0);
+    for (int i = 0; i < 5; ++i) ep->send(make_message(0, 1, i));
+  }
+  EXPECT_FALSE(receiver->inbox().probe({}));
+  EXPECT_EQ(injector->stats().dropped, 5u);
+  // Dropped messages never reach the inner transport.
+  EXPECT_EQ(faulted.counters().frames_sent, 0u);
+  faulted.shutdown();
+}
+
+TEST(FaultTransport, DelayHoldsBackUntilNextSendToSameDst) {
+  FaultPlan plan;
+  plan.delay_prob = 1.0;
+  plan.delay_min_seconds = 0.001;
+  plan.delay_max_seconds = 0.001;
+  plan.max_faults = 1;  // only the first message is held back
+  auto injector = std::make_shared<FaultInjector>(plan);
+  FaultTransport faulted(make_transport({}, {0, 1}), injector);
+  auto receiver = faulted.attach(1);
+  auto ep = faulted.attach(0);
+  ep->send(make_message(0, 1, 100));
+  EXPECT_FALSE(receiver->inbox().probe({}));  // held
+  ep->send(make_message(0, 1, 200));
+  // The second message now precedes the held-back first: a reordering.
+  EXPECT_EQ(receiver->inbox().receive({}).tag, 200);
+  EXPECT_EQ(receiver->inbox().receive({}).tag, 100);
+  EXPECT_EQ(injector->stats().delayed, 1u);
+  faulted.shutdown();
+}
+
 TEST(FaultTransport, DuplicateDeliveriesAliasOnePayloadBuffer) {
   FaultPlan plan;
   plan.seed = 3;

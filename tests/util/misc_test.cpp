@@ -160,15 +160,13 @@ TEST(Table, FormatsNumbers) {
 }
 
 TEST(Work, SpinIsCalibrated) {
-  const double rate = spin_iters_per_us();
-  EXPECT_GT(rate, 1.0);  // any machine does > 1 iter/us
-  // spin_for_us should take roughly the requested time (loose bounds; CI
-  // machines are noisy).
+  // spin_for_us is paced by steady_clock, so it never ends early; the upper
+  // bound is loose because CI machines are noisy.
   const auto t0 = std::chrono::steady_clock::now();
   spin_for_us(2000);
   const double us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count();
-  EXPECT_GT(us, 400.0);
+  EXPECT_GE(us, 2000.0);
   EXPECT_LT(us, 50000.0);
 }
 
